@@ -124,11 +124,7 @@ class CityScenario:
             embedded=config.harvester != "solar",
         )
 
-        self.endpoint = CloudEndpoint(
-            self.sim,
-            renewal_miss_probability=0.0,
-            store_deliveries=False,
-        )
+        self.endpoint = CloudEndpoint(self.sim, renewal_miss_probability=0.0)
         self.backhaul = CampusBackhaul(self.sim)
         self.backhaul.add_dependency(self.endpoint)
         self.endpoint.deploy()

@@ -369,7 +369,16 @@ class PeriodicTask:
             return
         self._callback()
         self.fired += 1
-        self.schedule(self._sim.now + self._interval)
+        if self._stopped:
+            return
+        # Re-arm straight onto the queue: ``now + interval`` is never in
+        # the past (interval > 0), so call_at's check has nothing to
+        # catch.  One push per firing, as before, so sequence numbers
+        # are unchanged.
+        time = self._sim.now + self._interval
+        if self._until is not None and time > self._until:
+            return
+        self._event = self._sim.events.push(time, self._fire, 0, self._label)
 
     def stop(self) -> None:
         """Stop the cycle; any armed firing is cancelled."""

@@ -15,7 +15,7 @@ from typing import Optional
 
 from ..core import units
 from ..core.engine import Simulation
-from ..core.entity import Entity
+from ..core.entity import Entity, EntityState
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,14 @@ class Backhaul(Entity):
         Injected degrade windows (:meth:`Entity.force_degrade`) overlay
         the natural outage process rather than toggling ``up``, so they
         compose with — and never corrupt — the renewal bookkeeping.
+        Runs once per delivered report, so it reads ``state`` directly
+        rather than through the ``alive`` property.
         """
-        return self.alive and self.up and self.forced_degradations == 0
+        return (
+            self.state is EntityState.ACTIVE
+            and self.up
+            and self.forced_degradations == 0
+        )
 
     def annual_cost_usd(self) -> float:
         """Recurring cost per year; subclasses override."""

@@ -28,16 +28,18 @@ import numpy as np
 
 from ..core import units
 from ..core.engine import PeriodicTask, Simulation
-from ..core.entity import Entity
+from ..core.entity import Entity, EntityState
 from ..energy.budget import TaskProfile
 from ..energy.sources import EnergySource
-from ..radio.link import RadioSpec, attempt_delivery
-from ..radio.packets import Packet, Reading
+from ..radio.link import RadioSpec, link_trial
+from ..radio.packets import credit_units
 from ..reliability.distributions import LifetimeDistribution
 from .device import MAX_LINKS_TRIED
 from .gateway import Gateway
 from .geometry import Position
 from .topology import GatewayIndex
+
+_ACTIVE = EntityState.ACTIVE
 
 
 class CohortPower:
@@ -209,7 +211,6 @@ class DeviceCohort(Entity):
         payload_bytes: int = 24,
         power: Optional[CohortPower] = None,
         lifetime_model: Optional[LifetimeDistribution] = None,
-        sensor_kind: str = "concrete-health",
         name: Optional[str] = None,
     ) -> None:
         super().__init__(sim, name)
@@ -232,8 +233,8 @@ class DeviceCohort(Entity):
         self.count = len(self.positions)
         self.power = power
         self.lifetime_model = lifetime_model
-        self.sensor_kind = sensor_kind
         self.member_names = [f"{self.name}.{i}" for i in range(self.count)]
+        self.credit_units = credit_units(payload_bytes)
         self.gateway_index: Optional[GatewayIndex] = None
         self.death_at = np.full(self.count, np.inf)
 
@@ -325,8 +326,14 @@ class DeviceCohort(Entity):
 
     def _candidates_for(self, i: int, index: GatewayIndex) -> List[Gateway]:
         cached = self._cand[i]
-        if cached is not None and all(g.hears() for g in cached):
-            return cached
+        if cached is not None:
+            # Reusable while every cached entry still hears
+            # (Gateway.hears, inlined: this runs per member per tick).
+            for g in cached:
+                if g.state is not _ACTIVE or g.forced_degradations:
+                    break
+            else:
+                return cached
         fresh = index.nearest_hearing(self.positions[i], count=MAX_LINKS_TRIED)
         self._cand[i] = fresh
         return fresh
@@ -357,32 +364,21 @@ class DeviceCohort(Entity):
         n_approved = int(approved.size)
         if n_approved == 0:
             return
-        values = self.sim.rng("sensing").normal(
-            loc=1.0, scale=0.05, size=n_approved
-        )
+        # The readings go nowhere (delivery is packet-free), but the
+        # draw stays: "sensing" keeps its per-member order.
+        self.sim.rng("sensing").normal(loc=1.0, scale=0.05, size=n_approved)
         index = self.gateway_index
         if index is not None:
             self._sync_candidates(index)
         rng = self.sim.rng("radio")
         spec = self.spec
-        payload_bytes = self.payload_bytes
-        sensor_kind = self.sensor_kind
+        frequency_hz = spec.frequency_hz
+        member_names = self.member_names
+        credits = self.credit_units
         no_gateway = 0
         radio_lost = 0
         delivered = 0
-        for j in range(n_approved):
-            i = int(approved[j])
-            packet = Packet(
-                source=self.member_names[i],
-                created_at=now,
-                payload_bytes=payload_bytes,
-                reading=Reading(
-                    kind=sensor_kind,
-                    value=float(values[j]),
-                    unit="normalized",
-                ),
-                signed_with=f"factory-key:{self.member_names[i]}",
-            )
+        for i in approved.tolist():
             position = self.positions[i]
             candidates = (
                 self._candidates_for(i, index) if index is not None else ()
@@ -390,11 +386,20 @@ class DeviceCohort(Entity):
             heard_by: Optional[Gateway] = None
             tried = 0
             for gateway in candidates:
-                if not gateway.hears():
+                # Gateway.hears, inlined as in EdgeDevice._report.
+                if gateway.state is not _ACTIVE or gateway.forced_degradations:
                     continue
                 tried += 1
+                # Mean loss per trial, not per member: a cached table
+                # would cost city-scale memory for a few log10 calls.
+                model = gateway.path_loss
                 distance = max(position.distance_to(gateway.position), 1.0)
-                if attempt_delivery(spec, gateway.path_loss, distance, rng):
+                if link_trial(
+                    spec,
+                    model.mean_loss_db(distance, frequency_hz),
+                    model.shadowing_sigma_db,
+                    rng,
+                ):
                     heard_by = gateway
                     break
                 if tried == MAX_LINKS_TRIED:
@@ -405,7 +410,7 @@ class DeviceCohort(Entity):
             if heard_by is None:
                 radio_lost += 1
                 continue
-            if heard_by.receive(packet):
+            if heard_by.receive(member_names[i], credits):
                 delivered += 1
         if no_gateway:
             self._c_no_gateway.value += no_gateway

@@ -1,7 +1,7 @@
 """Edge devices: energy-harvesting, transmit-only sensors (§4.1).
 
 An ``EdgeDevice`` wakes on its reporting interval, pays the energy cost
-of one duty cycle, and blurts a packet at every reachable gateway of its
+of one duty cycle, and blurts a report at every reachable gateway of its
 radio technology until one decodes it.  It is incapable of receiving —
 minimal security risk, limited longitudinal trust, and no dependence on
 any *specific* gateway instance (when its attachment policy allows).
@@ -13,14 +13,14 @@ armed at deployment.
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..core.engine import PeriodicTask, Simulation
-from ..core.entity import Entity
+from ..core.entity import Entity, EntityState
 from ..core.policy import AttachmentPolicy
 from ..energy.harvester import HarvestingSystem
-from ..radio.link import RadioSpec, attempt_delivery
-from ..radio.packets import Packet, Reading
+from ..radio.link import RadioSpec, link_trial
+from ..radio.packets import credit_units
 from ..reliability.distributions import LifetimeDistribution
 from ..reliability.failure import FailureProcess
 from .gateway import Gateway
@@ -31,6 +31,8 @@ from .geometry import ORIGIN, Position
 #: the per-entity duty cycle, the spatial-index candidate query, and the
 #: cohort-batched path, so all three try identical link sequences.
 MAX_LINKS_TRIED = 4
+
+_ACTIVE = EntityState.ACTIVE
 
 
 class EdgeDevice(Entity):
@@ -46,6 +48,9 @@ class EdgeDevice(Entity):
         Time on air for this device's frame (from the PHY model).
     report_interval:
         Seconds between scheduled transmissions.
+    payload_bytes:
+        Size of one report; fixes ``credit_units``, what a report costs
+        on a paid network.
     power:
         Harvesting system, or None for an always-powered node (the
         energy constraint is then skipped; hardware lifetime still
@@ -72,7 +77,6 @@ class EdgeDevice(Entity):
         power: Optional[HarvestingSystem] = None,
         lifetime_model: Optional[LifetimeDistribution] = None,
         attachment: AttachmentPolicy = AttachmentPolicy.ANY_COMPATIBLE,
-        sensor_kind: str = "concrete-health",
         name: Optional[str] = None,
     ) -> None:
         super().__init__(sim, name)
@@ -89,14 +93,26 @@ class EdgeDevice(Entity):
         self.power = power
         self.lifetime_model = lifetime_model
         self.attachment = attachment
-        self.sensor_kind = sensor_kind
-        self.signing_key = f"factory-key:{self.name}"
+        #: What one report costs on a paid network, fixed by the payload.
+        self.credit_units = credit_units(payload_bytes)
 
         #: Cached nearest-first candidate list, valid while the
         #: simulation's ``topology_version`` is unchanged (bumped by
         #: every entity lifecycle transition and dependency rewiring).
         self._candidate_cache: Optional[List[Gateway]] = None
         self._candidate_version: int = -1
+        #: The link table, rebuilt with the candidate cache: one
+        #: ``(gateway, mean_loss_db, shadowing_sigma_db)`` per candidate,
+        #: in candidate order.  Exact, not approximate: the mean loss is
+        #: a function of the two positions, this device's frequency and
+        #: the gateway's path-loss model, and all four are fixed at
+        #: construction.
+        self._links: List[Tuple[Gateway, float, float]] = []
+        # The duty cycle's named streams, resolved once (streams are
+        # seeded by name alone, so when they are created never matters).
+        self._radio_rng = sim.rng("radio")
+        self._sensing_rng = sim.rng("sensing")
+        self._energy_rng = sim.rng("energy")
 
         #: Optional dynamic discovery: a zero-argument callable returning
         #: the current gateway population (e.g. a Helium network's live
@@ -241,68 +257,57 @@ class EdgeDevice(Entity):
             gateways.append(g)
         position = self.position
         gateways.sort(key=lambda g: position.distance_sq_to(g.position))
+        frequency_hz = self.spec.frequency_hz
+        links = []
+        for g in gateways:
+            model = g.path_loss
+            distance = max(position.distance_to(g.position), 1.0)
+            links.append(
+                (g, model.mean_loss_db(distance, frequency_hz), model.shadowing_sigma_db)
+            )
         self._candidate_cache = gateways
+        self._links = links
         self._candidate_version = version
         return gateways
 
     def _report(self) -> None:
-        if not self.alive or self.forced_degradations:
+        if self.state is not _ACTIVE or self.forced_degradations:
             return  # dead, or muted by an injected degrade window
         self._c_attempts.value += 1
-        if not self._pay_energy():
-            self._c_energy_denied.value += 1
-            return
-        packet = self.make_packet()
-        heard_by: Optional[Gateway] = None
-        rng = self.sim.rng("radio")
-        position = self.position
+        power = self.power
+        if power is not None:
+            now = self.sim.now
+            power.step(now - self._last_energy_step, self._energy_rng)
+            self._last_energy_step = now
+            if not power.try_transmit(self.airtime_s):
+                self._c_energy_denied.value += 1
+                return
+        # The reading goes nowhere (delivery is packet-free), but its
+        # draw stays: the "sensing" stream keeps its place in every run.
+        self._sensing_rng.normal(1.0, 0.05)
+        if self._candidate_version != self.sim.topology_version:
+            self.candidate_gateways()
+        rng = self._radio_rng
+        spec = self.spec
         # A broadcast is heard (or not) by everything in range at once;
         # trying the four best live links covers any realistic decode
-        # set.  ``hears()`` is evaluated lazily on the links actually
-        # tried, never on the whole candidate list.
+        # set.  Liveness (Gateway.hears, inlined) is checked lazily on
+        # the links actually tried, never on the whole table.
         tried = 0
-        for gateway in self.candidate_gateways():
-            if not gateway.hears():
+        for gateway, mean_loss_db, sigma_db in self._links:
+            if gateway.state is not _ACTIVE or gateway.forced_degradations:
                 continue
             tried += 1
-            distance = max(position.distance_to(gateway.position), 1.0)
-            if attempt_delivery(self.spec, gateway.path_loss, distance, rng):
-                heard_by = gateway
-                break
+            if link_trial(spec, mean_loss_db, sigma_db, rng):
+                if gateway.receive(self.name, self.credit_units):
+                    self._c_delivered.value += 1
+                return
             if tried == MAX_LINKS_TRIED:
                 break
         if tried == 0:
             self._c_no_gateway.value += 1
-            return
-        if heard_by is None:
+        else:
             self._c_radio_lost.value += 1
-            return
-        if heard_by.receive(packet):
-            self._c_delivered.value += 1
-
-    def _pay_energy(self) -> bool:
-        if self.power is None:
-            return True
-        dt = self.sim.now - self._last_energy_step
-        self._last_energy_step = self.sim.now
-        self.power.step(dt, self.sim.rng("energy"))
-        return self.power.try_transmit(self.airtime_s)
-
-    def make_packet(self) -> Packet:
-        """Build the uplink frame for the current reading."""
-        rng = self.sim.rng("sensing")
-        reading = Reading(
-            kind=self.sensor_kind,
-            value=float(rng.normal(loc=1.0, scale=0.05)),
-            unit="normalized",
-        )
-        return Packet(
-            source=self.name,
-            created_at=self.sim.now,
-            payload_bytes=self.payload_bytes,
-            reading=reading,
-            signed_with=self.signing_key,
-        )
 
     # ------------------------------------------------------------------
     # Introspection

@@ -2,7 +2,9 @@
 
 Per §3.2's takeaways, a gateway "should primarily act only as a router":
 ``Gateway.receive`` checks a blocklist and forwards up the dependency
-DAG, deferring all decision-making to the backend.  The stateful
+DAG, deferring all decision-making to the backend.  What it routes is a
+report reduced to ``(source, credit_units)`` — no frame object is built
+on the way from device to endpoint.  The stateful
 alternative (per-device connection keys, closed-loop control) is
 represented by :class:`~repro.core.policy.GatewayRole` and shows up as a
 commissioning cost when gateways are replaced.
@@ -18,11 +20,12 @@ from __future__ import annotations
 from typing import List, Optional, Set
 
 from ..core.engine import Simulation
-from ..core.entity import Entity
+from ..core.entity import Entity, EntityState
 from ..core.policy import GatewayRole
 from ..radio.link import PathLossModel, RadioSpec
-from ..radio.packets import Packet
 from .geometry import ORIGIN, Position
+
+_ACTIVE = EntityState.ACTIVE
 
 
 class Gateway(Entity):
@@ -93,28 +96,30 @@ class Gateway(Entity):
     def hears(self) -> bool:
         """True if the gateway can currently receive radio traffic.
 
-        Hot-path contract: :meth:`EdgeDevice._report` calls this lazily
-        on the few links it actually tries (not the whole candidate
-        list), every report, for fifty simulated years — keep it O(1)
-        and side-effect free.
+        The report loops of :class:`~repro.net.device.EdgeDevice` and
+        :class:`~repro.net.cohort.DeviceCohort` inline this same test
+        (``state is ACTIVE`` and no forced degradation) on the few links
+        they actually try; keep the two in step.
         """
-        return self.alive and self.forced_degradations == 0
+        return self.state is _ACTIVE and self.forced_degradations == 0
 
-    def receive(self, packet: Packet) -> bool:
-        """Accept a radio-decoded packet and forward it to the backend.
+    def receive(self, source: str, credit_units: int) -> bool:
+        """Accept a radio-decoded report from ``source`` and forward it.
 
-        Returns True iff the packet reached a recording endpoint.  Drop
+        Returns True iff the report reached a recording endpoint.  Drop
         reasons are counted for the benchmarks' loss breakdowns.
+        ``credit_units`` is what the report costs on a paid network;
+        owned gateways carry it for free.
         """
-        if not self.hears():
+        if self.state is not _ACTIVE or self.forced_degradations:
             return False
+        return self._route(source)
+
+    def _route(self, source: str) -> bool:
         self._c_received.value += 1
-        if packet.source in self.blocklist:
+        if source in self.blocklist:
             self._c_drop_blocklist.value += 1
             return False
-        return self._forward(packet)
-
-    def _forward(self, packet: Packet) -> bool:
         for backhaul in self.depends_on:
             carries = getattr(backhaul, "carries_traffic", None)
             if carries is None or not carries():
@@ -123,7 +128,7 @@ class Gateway(Entity):
                 deliver = getattr(endpoint, "deliver", None)
                 if deliver is None:
                     continue
-                if deliver(packet, via_gateway=self.name, via_backhaul=backhaul.name):
+                if deliver(source, self.name, backhaul.name):
                     self._c_forwarded.value += 1
                     return True
                 self._c_drop_endpoint.value += 1
@@ -270,13 +275,13 @@ class ThirdPartyGateway(Gateway):
     def drops_unpaid(self, value: int) -> None:
         self._c_drop_unpaid.value = value
 
-    def receive(self, packet: Packet) -> bool:
-        if not self.hears():
+    def receive(self, source: str, credit_units: int) -> bool:
+        if self.state is not _ACTIVE or self.forced_degradations:
             return False
-        if self.wallet is not None and not self.wallet.debit(packet.credit_units):
+        if self.wallet is not None and not self.wallet.debit(credit_units):
             self._c_drop_unpaid.value += 1
             return False
-        return super().receive(packet)
+        return self._route(source)
 
     def on_deploy(self) -> None:
         if self.departs_at is not None:

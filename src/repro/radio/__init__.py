@@ -15,12 +15,13 @@ from .link import (
     attempt_delivery,
     coverage_radius_m,
     link_budget,
+    link_trial,
     max_range_m,
     packet_success_probability,
     received_power_dbm,
 )
 from .lora import EU868, US915, LoRaParameters, RegionalLimits
-from .packets import CREDIT_UNIT_BYTES, DeliveryRecord, Packet, Reading
+from .packets import CREDIT_UNIT_BYTES, DeliveryRecord, Packet, Reading, credit_units
 
 __all__ = [
     "channel",
@@ -37,6 +38,7 @@ __all__ = [
     "attempt_delivery",
     "coverage_radius_m",
     "link_budget",
+    "link_trial",
     "max_range_m",
     "packet_success_probability",
     "received_power_dbm",
@@ -45,6 +47,7 @@ __all__ = [
     "LoRaParameters",
     "RegionalLimits",
     "CREDIT_UNIT_BYTES",
+    "credit_units",
     "DeliveryRecord",
     "Packet",
     "Reading",

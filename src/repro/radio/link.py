@@ -186,13 +186,38 @@ def coverage_radius_m(
     return model.reference_distance_m * 10.0 ** (excess_db / (10.0 * model.exponent))
 
 
+def link_trial(
+    spec: RadioSpec,
+    mean_loss_db: float,
+    shadowing_sigma_db: float,
+    rng: np.random.Generator,
+) -> bool:
+    """One stochastic packet trial over a link of known mean loss.
+
+    The report path's only radio call: devices and cohorts pass a mean
+    loss they computed once per link, so a trial costs two draws and
+    the arithmetic below.  The float operations run in exactly the order
+    :meth:`PathLossModel.sample_loss_db`, :func:`received_power_dbm` and
+    :func:`packet_success_probability` perform them (shadow, mean +
+    shadow, tx - loss, logistic), so a cached mean reproduces the
+    uncached trial bit for bit and leaves ``rng`` in the same state.
+    """
+    shadow = shadowing_sigma_db * rng.standard_normal()
+    rx = spec.tx_power_dbm - (mean_loss_db + shadow)
+    margin = rx - spec.sensitivity_dbm
+    return rng.random() < 1.0 / (1.0 + math.exp(-margin / spec.per_slope_db))
+
+
 def attempt_delivery(
     spec: RadioSpec,
     model: PathLossModel,
     distance_m: float,
     rng: np.random.Generator,
 ) -> bool:
-    """One stochastic packet trial over the link."""
-    loss = model.sample_loss_db(distance_m, spec.frequency_hz, rng)
-    rx = received_power_dbm(spec, loss)
-    return rng.random() < packet_success_probability(spec, rx)
+    """One stochastic packet trial over the link (see :func:`link_trial`)."""
+    return link_trial(
+        spec,
+        model.mean_loss_db(distance_m, spec.frequency_hz),
+        model.shadowing_sigma_db,
+        rng,
+    )

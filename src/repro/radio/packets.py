@@ -4,6 +4,11 @@ The paper's initial devices are transmit-only monitoring sensors: up to
 24-byte payloads (the Helium data-credit accounting unit), a reading,
 and a signature the device can never rotate — which is why §4.1 calls
 their longitudinal trust "limited".
+
+The simulated report path does not build frames: a delivered report
+travels as ``(source, credit_units)`` from device to gateway to endpoint
+(see :meth:`repro.net.gateway.Gateway.receive`).  ``Packet`` remains the
+frame description for planning and credit arithmetic.
 """
 
 from __future__ import annotations
@@ -16,6 +21,23 @@ from typing import Optional
 CREDIT_UNIT_BYTES: int = 24
 
 _sequence = itertools.count(1)
+
+
+def credit_units(payload_bytes: int) -> int:
+    """Data credits one uplink of ``payload_bytes`` costs on a Helium-style
+    network.
+
+    One credit per started 24-byte unit; a zero-byte heartbeat still
+    costs one credit.
+
+    >>> credit_units(24), credit_units(25), credit_units(0)
+    (1, 2, 1)
+    """
+    if payload_bytes < 0:
+        raise ValueError(f"payload_bytes must be non-negative, got {payload_bytes}")
+    if payload_bytes == 0:
+        return 1
+    return -(-payload_bytes // CREDIT_UNIT_BYTES)  # ceil div
 
 
 @dataclass(frozen=True)
@@ -48,26 +70,21 @@ class Packet:
 
     @property
     def credit_units(self) -> int:
-        """Data credits this packet costs on a Helium-style network.
-
-        One credit per started 24-byte unit; a zero-byte heartbeat still
-        costs one credit.
-        """
-        if self.payload_bytes == 0:
-            return 1
-        return -(-self.payload_bytes // CREDIT_UNIT_BYTES)  # ceil div
+        """Data credits this packet costs (see :func:`credit_units`)."""
+        return credit_units(self.payload_bytes)
 
 
 @dataclass(frozen=True)
 class DeliveryRecord:
-    """A packet's arrival at the backend, as logged by the endpoint."""
+    """One report's arrival at the backend, as logged by an endpoint that
+    keeps records (``CloudEndpoint(store_deliveries=True)``).
 
-    packet: Packet
+    Delivery is packet-free: a report reaches the endpoint as its source
+    name alone, the same instant it was sent, so a record carries no
+    frame and no latency.
+    """
+
+    source: str
     received_at: float
     via_gateway: str
     via_backhaul: str
-
-    @property
-    def latency_s(self) -> float:
-        """Creation-to-arrival delay."""
-        return self.received_at - self.packet.created_at

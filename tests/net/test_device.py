@@ -55,7 +55,7 @@ class TestReporting:
         sim.run_until(units.days(1.0))
         assert device.attempts == 24
         assert device.delivered >= 22  # near-field link, rare shadowing loss
-        assert len(cloud.deliveries) == device.delivered
+        assert cloud.delivered_count == device.delivered
 
     def test_no_gateway_counted(self, sim):
         cloud, gateways, device = build(sim)
@@ -219,10 +219,15 @@ class TestValidation:
                 report_interval=units.HOUR,
             )
 
-    def test_packet_contents(self, sim):
-        cloud, gateways, device = build(sim)
-        packet = device.make_packet()
-        assert packet.source == device.name
-        assert packet.payload_bytes == 24
-        assert packet.signed_with.startswith("factory-key:")
-        assert packet.reading is not None
+    def test_report_credit_units(self, sim):
+        cloud, gateways, device = build(sim, payload_bytes=50)
+        assert device.credit_units == 3
+        with pytest.raises(ValueError):
+            EdgeDevice(
+                sim,
+                technology="802.15.4",
+                spec=ieee802154.default_spec(),
+                airtime_s=0.001,
+                report_interval=units.HOUR,
+                payload_bytes=-1,
+            )

@@ -1,7 +1,5 @@
 """Tests for repro.net.gateway."""
 
-import pytest
-
 from repro.core import units
 from repro.core.policy import GatewayRole
 from repro.net import (
@@ -9,16 +7,15 @@ from repro.net import (
     CloudEndpoint,
     DataCreditWallet,
     OwnedGateway,
-    Position,
     ThirdPartyGateway,
     migrate_devices,
 )
-from repro.radio import Packet, ieee802154
+from repro.radio import credit_units, ieee802154
 from repro.radio.lora import LoRaParameters, suburban_path_loss
 
 
 def owned_stack(sim):
-    cloud = CloudEndpoint(sim)
+    cloud = CloudEndpoint(sim, store_deliveries=True)
     cloud.deploy()
     backhaul = CampusBackhaul(sim)
     backhaul.add_dependency(cloud)
@@ -31,48 +28,44 @@ def owned_stack(sim):
     return cloud, backhaul, gateway
 
 
-def pkt(source="dev-1", t=0.0, payload=24):
-    return Packet(source=source, created_at=t, payload_bytes=payload)
-
-
 class TestForwarding:
     def test_receive_forwards_to_cloud(self, sim):
         cloud, backhaul, gateway = owned_stack(sim)
-        assert gateway.receive(pkt())
+        assert gateway.receive("dev-1", 1)
         assert gateway.packets_forwarded == 1
         assert len(cloud.deliveries) == 1
 
     def test_blocklist_drops(self, sim):
         cloud, backhaul, gateway = owned_stack(sim)
         gateway.block("bad-dev")
-        assert not gateway.receive(pkt("bad-dev"))
+        assert not gateway.receive("bad-dev", 1)
         assert gateway.drops_blocklist == 1
         assert not cloud.deliveries
         gateway.unblock("bad-dev")
-        assert gateway.receive(pkt("bad-dev"))
+        assert gateway.receive("bad-dev", 1)
 
     def test_dead_gateway_hears_nothing(self, sim):
         cloud, backhaul, gateway = owned_stack(sim)
         gateway.fail()
-        assert not gateway.receive(pkt())
+        assert not gateway.receive("dev-1", 1)
         assert gateway.packets_received == 0
 
     def test_backhaul_outage_drops(self, sim):
         cloud, backhaul, gateway = owned_stack(sim)
         backhaul.up = False
-        assert not gateway.receive(pkt())
+        assert not gateway.receive("dev-1", 1)
         assert gateway.drops_backhaul == 1
 
     def test_dead_backhaul_drops(self, sim):
         cloud, backhaul, gateway = owned_stack(sim)
         backhaul.fail()
-        assert not gateway.receive(pkt())
+        assert not gateway.receive("dev-1", 1)
         assert gateway.drops_backhaul == 1
 
     def test_endpoint_down_drop_counted(self, sim):
         cloud, backhaul, gateway = owned_stack(sim)
         cloud.fail()
-        assert not gateway.receive(pkt())
+        assert not gateway.receive("dev-1", 1)
         assert gateway.drops_endpoint == 1
 
     def test_second_backhaul_used_when_first_down(self, sim):
@@ -82,7 +75,7 @@ class TestForwarding:
         second.deploy()
         gateway.add_dependency(second)
         backhaul.up = False
-        assert gateway.receive(pkt())
+        assert gateway.receive("dev-1", 1)
         assert cloud.deliveries[0].via_backhaul == second.name
 
 
@@ -105,7 +98,7 @@ class TestCommissioning:
 class TestThirdParty:
     def _hotspot(self, sim, departs_at=None, wallet=None):
         lora = LoRaParameters(spreading_factor=10)
-        cloud = CloudEndpoint(sim)
+        cloud = CloudEndpoint(sim, store_deliveries=True)
         cloud.deploy()
         backhaul = CampusBackhaul(sim)
         backhaul.add_dependency(cloud)
@@ -135,9 +128,9 @@ class TestThirdParty:
         wallet = DataCreditWallet()
         wallet.provision(2)
         cloud, hotspot = self._hotspot(sim, wallet=wallet)
-        assert hotspot.receive(pkt())
-        assert hotspot.receive(pkt())
-        assert not hotspot.receive(pkt())  # broke
+        assert hotspot.receive("dev-1", 1)
+        assert hotspot.receive("dev-1", 1)
+        assert not hotspot.receive("dev-1", 1)  # broke
         assert hotspot.drops_unpaid == 1
         assert len(cloud.deliveries) == 2
 
@@ -145,7 +138,7 @@ class TestThirdParty:
         wallet = DataCreditWallet()
         wallet.provision(3)
         cloud, hotspot = self._hotspot(sim, wallet=wallet)
-        assert hotspot.receive(pkt(payload=50))  # 3 credits
+        assert hotspot.receive("dev-1", credit_units(50))  # 3 credits
         assert wallet.balance == 0
 
     def test_asn_tagged(self, sim):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.radio import CREDIT_UNIT_BYTES, DeliveryRecord, Packet, Reading
+from repro.radio import CREDIT_UNIT_BYTES, DeliveryRecord, Packet, Reading, credit_units
 
 
 class TestPacket:
@@ -35,7 +35,17 @@ class TestPacket:
 
 
 class TestDeliveryRecord:
-    def test_latency(self):
-        packet = Packet("d", created_at=10.0, payload_bytes=24)
-        record = DeliveryRecord(packet, received_at=12.5, via_gateway="g", via_backhaul="b")
-        assert record.latency_s == 2.5
+    def test_fields(self):
+        record = DeliveryRecord("d", received_at=12.5, via_gateway="g", via_backhaul="b")
+        assert (record.source, record.received_at) == ("d", 12.5)
+        assert (record.via_gateway, record.via_backhaul) == ("g", "b")
+
+
+class TestCreditUnits:
+    def test_function_matches_packet_property(self):
+        for payload in (0, 1, 23, 24, 25, 48, 49, 127):
+            assert credit_units(payload) == Packet("d", 0.0, payload).credit_units
+
+    def test_negative_payload_rejected(self):
+        with pytest.raises(ValueError):
+            credit_units(-1)

@@ -21,8 +21,12 @@ from repro.reliability import kaplan_meier
 
 
 def build_city_block(sim, n_devices=6, backhaul_cls=CampusBackhaul, **backhaul_kwargs):
-    """A little deployment: cloud <- backhaul <- 2 gateways <- devices."""
-    cloud = CloudEndpoint(sim)
+    """A little deployment: cloud <- backhaul <- 2 gateways <- devices.
+
+    The endpoint keeps records: the sunset test evaluates a window that
+    starts mid-run, which running aggregates cannot resolve.
+    """
+    cloud = CloudEndpoint(sim, store_deliveries=True)
     backhaul = backhaul_cls(sim, **backhaul_kwargs)
     backhaul.add_dependency(cloud)
     gateways = []
