@@ -275,6 +275,16 @@ def parse_request(
             )
         pairs.append((name, _normalize_override(field, raw_overrides[name])))
 
+    if pairs:
+        # A bad value combination (a payload too big for the 802.15.4
+        # frame, say) is a 400 here rather than a 500 from the worker.
+        from ..experiment.scenarios import scenario_config
+
+        try:
+            scenario_config(scenario, overrides=pairs)
+        except ValueError as exc:
+            raise RequestError(f"bad overrides: {exc}") from exc
+
     raw_faults = payload.get("faults")
     plan: Optional[FaultPlan] = None
     if raw_faults is not None:

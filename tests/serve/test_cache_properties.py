@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from conftest import run_async
 from repro.experiment.scenarios import SCENARIOS
 from repro.faults.plans import pinned_chaos_plan
+from repro.radio import ieee802154
 from repro.serve import (
     ResponseCache,
     ScenarioService,
@@ -36,7 +37,12 @@ SCENARIO_NAMES = sorted(SCENARIOS)
 OVERRIDES = st.fixed_dictionaries(
     {},
     optional={
-        "payload_bytes": st.integers(min_value=1, max_value=128),
+        # Every scenario but helium-only deploys 802.15.4 devices, whose
+        # frame caps the payload; larger payloads are rejected at parse
+        # time (see test_request.py).
+        "payload_bytes": st.integers(
+            min_value=1, max_value=ieee802154.default_spec().max_payload_bytes
+        ),
         "storage_j": st.floats(min_value=0.5, max_value=10.0),
         "maintain_gateways": st.booleans(),
         "harvester": st.sampled_from(["cathodic", "solar", "vibration"]),

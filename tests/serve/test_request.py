@@ -91,6 +91,14 @@ def test_to_task_carries_everything():
         ),
         ({"scenario": "owned-only", "faults": {"oops": 1}}, "bad fault plan"),
         ({"scenario": "owned-only", "version": 99}, "unsupported request"),
+        (
+            {"scenario": "owned-only", "overrides": {"payload_bytes": 115}},
+            "exceeds 802.15.4 PSDU",
+        ),
+        (
+            {"scenario": "helium-only", "overrides": {"payload_bytes": -1}},
+            "must be non-negative",
+        ),
     ],
 )
 def test_run_request_rejections(payload, fragment):
