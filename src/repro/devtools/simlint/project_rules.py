@@ -147,13 +147,14 @@ class TopologyMutationWithoutBump(ProjectRule):
     id = "SL011"
     title = "topology mutation without topology_version bump"
     rationale = (
-        "Every cache derived from the entity graph (device candidate "
-        "lists, live_hotspots, GatewayIndex) is keyed on "
-        "sim.topology_version and revalidated by comparison, never by "
-        "callback.  A function that rewires depends_on/dependents or "
-        "flips an entity's state without bumping the version in the same "
-        "function is the PR 3/6 stale-cache class: everything keeps "
-        "running, against yesterday's topology."
+        "Every cache derived from the entity graph is keyed on "
+        "sim.topology_version, directly (live_hotspots, the GatewayIndex "
+        "hearing list) or through the index generation derived from it "
+        "(device and cohort candidate lists), and revalidated by "
+        "comparison, never by callback.  A function that rewires "
+        "depends_on/dependents or flips an entity's state without bumping "
+        "the version in the same function is the stale-cache bug class: "
+        "everything keeps running, against yesterday's topology."
     )
 
     def check(self, index: ProjectIndex) -> Iterator[Finding]:

@@ -22,9 +22,12 @@ Checks (each names the entity and sim-time when it trips):
 * **delivery-reality** — the reachability ledger agrees with delivery
   reality: total packets gateways claim to have forwarded equals the
   total deliveries endpoints actually recorded.
-* **cache-coherence** — topology-version-keyed caches (device candidate
-  lists, the Helium live-hotspot view) match a fresh recomputation
-  whenever they claim to be current.
+* **cache-coherence** — topology-version-keyed caches match a fresh
+  recomputation whenever they would be used: every device candidate
+  list (and its link table) and every cohort member's candidate list
+  that is current or that the index's reuse rule would accept, and the
+  Helium live-hotspot view when it claims to be current.  The
+  recomputation reads no device cache and writes none.
 * **monotonicity** — the clock and ``topology_version`` never move
   backwards.
 
@@ -292,20 +295,38 @@ class InvariantAuditor:
     def _check_caches(self) -> None:
         version = self.sim.topology_version
         for entity in self.sim.entities:
-            if getattr(entity, "TIER", None) != "device":
-                continue
-            cached = entity._candidate_cache
-            if cached is None or entity._candidate_version != version:
-                continue  # stale caches are allowed; only fresh ones must agree
-            entity._candidate_version = -1
-            fresh = entity.candidate_gateways()
-            if [id(g) for g in cached] != [id(g) for g in fresh]:
-                self._flag(
-                    "cache-coherence",
-                    entity.name,
-                    f"candidate cache {sorted(g.name for g in cached)} != "
-                    f"recomputation {sorted(g.name for g in fresh)}",
-                )
+            tier = getattr(entity, "TIER", None)
+            if tier == "device":
+                # A cache the device would still use — current, or stale
+                # but accepted by the reuse rule — must equal a fresh
+                # recomputation, and its link table must follow it.
+                # (Entities compare by identity, so list equality is
+                # same-gateways-in-the-same-order.)
+                cached = entity.reusable_cache()
+                if cached is None:
+                    continue
+                fresh = entity.fresh_candidates()
+                linked = [link[0] for link in entity._links]
+                if cached != fresh or linked != fresh:
+                    self._flag(
+                        "cache-coherence",
+                        entity.name,
+                        f"candidate cache {[g.name for g in cached]} != "
+                        f"recomputation {[g.name for g in fresh]}",
+                    )
+            elif tier == "device-cohort":
+                for i in range(entity.count):
+                    cached = entity.reusable_cache(i)
+                    if cached is None:
+                        continue
+                    fresh = entity.fresh_candidates(i)
+                    if cached != fresh:
+                        self._flag(
+                            "cache-coherence",
+                            entity.member_names[i],
+                            f"candidate cache {[g.name for g in cached]} != "
+                            f"recomputation {[g.name for g in fresh]}",
+                        )
         helium = self.sim.resources.get("helium")
         if helium is not None and helium._live_cache_version == version:
             fresh_live = [h for h in helium.hotspots if h.alive]

@@ -22,7 +22,7 @@ skips them) is preserved.  The golden equivalence fixture in
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -182,7 +182,10 @@ class DeviceCohort(Entity):
     that afforded the cycle, then the same per-member radio loop an
     :class:`~repro.net.device.EdgeDevice` runs (scalar draws on the
     "radio" stream, nearest-``MAX_LINKS_TRIED``-hearing candidates from
-    the shared :class:`~repro.net.topology.GatewayIndex`).
+    the shared :class:`~repro.net.topology.GatewayIndex`).  Each
+    member's candidates are cached with the index generation they were
+    found at and kept across topology changes while
+    :meth:`~repro.net.topology.GatewayIndex.still_nearest` accepts them.
 
     Member hardware lifetimes are drawn at deployment on the
     "device-hw" stream with one scalar ``sample(rng, 1)`` call per
@@ -238,11 +241,9 @@ class DeviceCohort(Entity):
         self.gateway_index: Optional[GatewayIndex] = None
         self.death_at = np.full(self.count, np.inf)
 
-        #: Per-member cached candidate lists plus the invalidation state
-        #: for the shrink-only reuse rule (see :meth:`_sync_candidates`).
-        self._cand: List[Optional[List[Gateway]]] = [None] * self.count
-        self._cand_version: int = -1
-        self._hearing_ids: Set[int] = set()
+        #: Per-member ``(index generation, nearest-hearing answer)``,
+        #: reused by the index's rule (see :meth:`_candidates_for`).
+        self._cand: List[Optional[Tuple[int, List[Gateway]]]] = [None] * self.count
 
         metrics = sim.metrics
         self._c_attempts = metrics.counter(
@@ -299,44 +300,47 @@ class DeviceCohort(Entity):
     # ------------------------------------------------------------------
     # Candidate gateways
     # ------------------------------------------------------------------
-    def _sync_candidates(self, index: GatewayIndex) -> None:
-        """Reconcile the per-member candidate caches with the topology.
+    def _candidates_for(
+        self, i: int, index: GatewayIndex, generation: int
+    ) -> List[Gateway]:
+        """Member ``i``'s nearest hearing gateways at ``generation``.
 
-        A member's cached list stays exact under *shrink-only* change:
-        if no gateway has newly become able to hear since the member
-        cached, and everything the member cached still hears, then the
-        nearest-hearing set is provably unchanged (survivors keep their
-        relative provider order, so distance ties still resolve the same
-        way, and anything outside the cached set was already ranked
-        below it).  Any rebuild that *gains* a hearer — a deployment, or
-        a degradation lifted — drops every cache, because a newly
-        hearing gateway may displace cached entries anywhere in the
-        fleet.  The gained-hearer check costs O(population) once per
-        topology bump; the reuse it buys avoids O(members) re-queries
-        per gateway failure.
+        The same reuse rule as :meth:`EdgeDevice.candidate_gateways
+        <repro.net.device.EdgeDevice.candidate_gateways>`: a cache
+        stamped with the current generation is returned as is, an
+        older one only if
+        :meth:`~repro.net.topology.GatewayIndex.still_nearest` accepts
+        it.
         """
-        version = self.sim.topology_version
-        if version == self._cand_version:
-            return
-        hearing = {id(g) for g in index.population() if g.hears()}
-        if not hearing <= self._hearing_ids:
-            self._cand = [None] * self.count
-        self._hearing_ids = hearing
-        self._cand_version = version
-
-    def _candidates_for(self, i: int, index: GatewayIndex) -> List[Gateway]:
-        cached = self._cand[i]
-        if cached is not None:
-            # Reusable while every cached entry still hears
-            # (Gateway.hears, inlined: this runs per member per tick).
-            for g in cached:
-                if g.state is not _ACTIVE or g.forced_degradations:
-                    break
-            else:
+        entry = self._cand[i]
+        if entry is not None:
+            stamp, cached = entry
+            if stamp == generation:
                 return cached
-        fresh = index.nearest_hearing(self.positions[i], count=MAX_LINKS_TRIED)
-        self._cand[i] = fresh
+            if index.still_nearest(cached, stamp, self.positions[i], MAX_LINKS_TRIED):
+                self._cand[i] = (generation, cached)
+                return cached
+        fresh = index.nearest_hearing(self.positions[i], MAX_LINKS_TRIED)
+        self._cand[i] = (generation, fresh)
         return fresh
+
+    def reusable_cache(self, i: int) -> Optional[List[Gateway]]:
+        """Member ``i``'s cached candidates if the reuse rule accepts
+        them now, else None; changes nothing on the cohort."""
+        entry = self._cand[i]
+        index = self.gateway_index
+        if entry is None or index is None:
+            return None
+        stamp, cached = entry
+        if index.still_nearest(cached, stamp, self.positions[i], MAX_LINKS_TRIED):
+            return cached
+        return None
+
+    def fresh_candidates(self, i: int) -> List[Gateway]:
+        """Member ``i``'s candidates recomputed from scratch."""
+        if self.gateway_index is None:
+            return []
+        return self.gateway_index.nearest_hearing(self.positions[i], MAX_LINKS_TRIED)
 
     # ------------------------------------------------------------------
     # The batched duty cycle
@@ -368,8 +372,9 @@ class DeviceCohort(Entity):
         # draw stays: "sensing" keeps its per-member order.
         self.sim.rng("sensing").normal(loc=1.0, scale=0.05, size=n_approved)
         index = self.gateway_index
-        if index is not None:
-            self._sync_candidates(index)
+        # Nothing below moves the topology (Gateway.receive only counts
+        # and forwards), so one generation holds for the whole tick.
+        generation = index.refresh() if index is not None else 0
         rng = self.sim.rng("radio")
         spec = self.spec
         frequency_hz = spec.frequency_hz
@@ -381,7 +386,9 @@ class DeviceCohort(Entity):
         for i in approved.tolist():
             position = self.positions[i]
             candidates = (
-                self._candidates_for(i, index) if index is not None else ()
+                self._candidates_for(i, index, generation)
+                if index is not None
+                else ()
             )
             heard_by: Optional[Gateway] = None
             tried = 0

@@ -96,11 +96,19 @@ class EdgeDevice(Entity):
         #: What one report costs on a paid network, fixed by the payload.
         self.credit_units = credit_units(payload_bytes)
 
-        #: Cached nearest-first candidate list, valid while the
-        #: simulation's ``topology_version`` is unchanged (bumped by
-        #: every entity lifecycle transition and dependency rewiring).
+        #: Cached nearest-first candidate list, current at
+        #: ``_candidate_version`` (the simulation's ``topology_version``,
+        #: bumped by every entity lifecycle transition and dependency
+        #: rewiring).  On a version move it is kept if the reuse rule
+        #: still accepts it (see :meth:`candidate_gateways`).
         self._candidate_cache: Optional[List[Gateway]] = None
         self._candidate_version: int = -1
+        #: What the cache was built from: the dependency list, and the
+        #: index's nearest-hearing answer with the index generation it
+        #: is exact at.
+        self._cached_deps: List[Entity] = []
+        self._nearest: List[Gateway] = []
+        self._nearest_generation: int = 0
         #: The link table, rebuilt with the candidate cache: one
         #: ``(gateway, mean_loss_db, shadowing_sigma_db)`` per candidate,
         #: in candidate order.  Exact, not approximate: the mean loss is
@@ -114,17 +122,12 @@ class EdgeDevice(Entity):
         self._sensing_rng = sim.rng("sensing")
         self._energy_rng = sim.rng("energy")
 
-        #: Optional dynamic discovery: a zero-argument callable returning
-        #: the current gateway population (e.g. a Helium network's live
-        #: hotspots).  When set, transmissions consider these gateways in
-        #: addition to static ``depends_on`` links — the device relies on
-        #: *properties* of infrastructure, not specific instances.
-        self.gateway_directory = None
         #: Optional spatial discovery: a
         #: :class:`~repro.net.topology.GatewayIndex` answering
-        #: nearest-hearing range queries.  Preferred over the directory
-        #: when both are set — same candidate semantics, O(log-ish)
-        #: instead of a full population rebuild per topology change.
+        #: nearest-hearing queries.  When set, transmissions consider
+        #: these gateways in addition to static ``depends_on`` links —
+        #: the device relies on *properties* of infrastructure, not
+        #: specific instances.
         self.gateway_index = None
 
         # Duty-cycle accounting lives in the run's metrics registry —
@@ -186,16 +189,6 @@ class EdgeDevice(Entity):
     # The duty cycle
     # ------------------------------------------------------------------
     @property
-    def gateway_directory(self):
-        """The dynamic-discovery callable (see ``__init__``), or None."""
-        return self._gateway_directory
-
-    @gateway_directory.setter
-    def gateway_directory(self, directory) -> None:
-        self._gateway_directory = directory
-        self._candidate_cache = None
-
-    @property
     def gateway_index(self):
         """The spatial-discovery index (see ``__init__``), or None."""
         return self._gateway_index
@@ -215,36 +208,87 @@ class EdgeDevice(Entity):
         all, the device is stranded rather than silently rebound to a
         later dependency.
 
-        The list is cached per device and rebuilt only when the
-        simulation's topology version moves (a gateway deployed, failed,
-        retired, or churned; a dependency rewired).  Between rebuilds
-        the gateway population is provably unchanged, so the cache is
-        exact, not approximate.  Entries may since have died — callers
-        must check :meth:`Gateway.hears` on the links they actually try.
+        Other devices add the ``MAX_LINKS_TRIED`` nearest gateways their
+        ``gateway_index`` reports able to hear.  Because ``hears()``
+        only flips on version-bumping transitions and :meth:`_report`
+        both skips non-hearing candidates and stops after
+        ``MAX_LINKS_TRIED`` hearing links, the tried-link sequence is
+        identical to trying every live gateway nearest-first.
 
-        With a ``gateway_index`` attached, discovery asks the index for
-        the ``MAX_LINKS_TRIED`` nearest gateways currently able to hear
-        instead of materialising the whole population.  Because
-        ``hears()`` only flips on version-bumping transitions and
-        :meth:`_report` both skips non-hearing candidates and stops
-        after ``MAX_LINKS_TRIED`` hearing links, the tried-link sequence
-        is identical to the full-directory rebuild.
+        The list is cached.  When the simulation's topology version
+        moves, the cache is kept if ``depends_on`` is unchanged and the
+        index's :meth:`~repro.net.topology.GatewayIndex.still_nearest`
+        accepts the cached nearest-hearing answer; otherwise it is
+        rebuilt.  Either way it is exact, not approximate.  Entries may
+        since have died — callers must check :meth:`Gateway.hears` on
+        the links they actually try.
         """
         version = self.sim.topology_version
+        if self._candidate_version == version and self._candidate_cache is not None:
+            return self._candidate_cache
+        if self.reusable_cache() is None:
+            nearest = self._nearest_now()
+            gateways = self._merge(nearest)
+            position = self.position
+            frequency_hz = self.spec.frequency_hz
+            links = []
+            for g in gateways:
+                model = g.path_loss
+                distance = max(position.distance_to(g.position), 1.0)
+                links.append(
+                    (g, model.mean_loss_db(distance, frequency_hz), model.shadowing_sigma_db)
+                )
+            self._candidate_cache = gateways
+            self._links = links
+            self._cached_deps = list(self.depends_on)
+            self._nearest = nearest
+        index = self._discovery()
+        if index is not None:
+            self._nearest_generation = index.generation
+        self._candidate_version = version
+        return self._candidate_cache
+
+    def reusable_cache(self) -> Optional[List[Gateway]]:
+        """The cached candidates if current or still exact, else None.
+
+        Applies the reuse rule of :meth:`candidate_gateways` without
+        changing anything on this device.
+        """
         cached = self._candidate_cache
-        if cached is not None and self._candidate_version == version:
+        if cached is None or self._candidate_version == self.sim.topology_version:
             return cached
+        if self.depends_on != self._cached_deps:
+            return None
+        index = self._discovery()
+        if index is not None and not index.still_nearest(
+            self._nearest, self._nearest_generation, self.position, MAX_LINKS_TRIED
+        ):
+            return None
+        return cached
+
+    def fresh_candidates(self) -> List[Gateway]:
+        """The candidate list recomputed from scratch, cache untouched."""
+        return self._merge(self._nearest_now())
+
+    def _discovery(self):
+        """The index this device discovers gateways through, or None."""
+        if self.attachment is AttachmentPolicy.INSTANCE_BOUND:
+            return None
+        return self._gateway_index
+
+    def _nearest_now(self) -> List[Gateway]:
+        """The index's current nearest-hearing answer ([] without one)."""
+        index = self._discovery()
+        if index is None:
+            return []
+        return index.nearest_hearing(self.position, MAX_LINKS_TRIED)
+
+    def _merge(self, nearest: List[Gateway]) -> List[Gateway]:
+        """Dependencies plus ``nearest``: compatible, deduplicated, nearest-first."""
         candidates = list(self.depends_on)
         if self.attachment is AttachmentPolicy.INSTANCE_BOUND:
             candidates = candidates[:1]
-        elif self._gateway_index is not None:
-            candidates.extend(
-                self._gateway_index.nearest_hearing(
-                    self.position, count=MAX_LINKS_TRIED
-                )
-            )
-        elif self._gateway_directory is not None:
-            candidates.extend(self._gateway_directory())
+        candidates.extend(nearest)
         seen = set()
         gateways = []
         technology = self.technology
@@ -257,17 +301,6 @@ class EdgeDevice(Entity):
             gateways.append(g)
         position = self.position
         gateways.sort(key=lambda g: position.distance_sq_to(g.position))
-        frequency_hz = self.spec.frequency_hz
-        links = []
-        for g in gateways:
-            model = g.path_loss
-            distance = max(position.distance_to(g.position), 1.0)
-            links.append(
-                (g, model.mean_loss_db(distance, frequency_hz), model.shadowing_sigma_db)
-            )
-        self._candidate_cache = gateways
-        self._links = links
-        self._candidate_version = version
         return gateways
 
     def _report(self) -> None:

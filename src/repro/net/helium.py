@@ -285,13 +285,12 @@ class HeliumNetwork:
     def live_index(self):
         """A shared spatial index over the live hotspots.
 
-        Devices attach this as their ``gateway_index`` instead of a
-        ``gateway_directory`` callable: it caches against the topology
-        version exactly like :meth:`live_hotspots` and indexes the same
-        population in the same order, so nearest-hearing queries break
-        distance ties identically to a scan of the live list.  The cell
-        size tracks the LoRa coverage radius at the planner's default
-        threshold.
+        Devices attach this as their ``gateway_index``: it follows the
+        topology version exactly like :meth:`live_hotspots` and indexes
+        the same population in the same order, so nearest-hearing
+        queries break distance ties identically to a scan of the live
+        list.  The cell size tracks the LoRa coverage radius at the
+        planner's default threshold.
         """
         if self._live_index is None:
             from ..radio.link import coverage_radius_m

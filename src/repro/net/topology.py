@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from ..core.engine import Simulation
 from ..core.hierarchy import Hierarchy
@@ -112,22 +112,29 @@ def associate_by_coverage(
 
 
 class GatewayIndex:
-    """A topology-version-cached spatial index over a gateway population.
+    """A spatial index over the gateways that can hear, with scoped reuse.
 
     ``provider`` returns the population to index (a scenario's owned
-    gateways, a Helium network's hotspot roster); the grid is rebuilt
-    lazily whenever ``sim.topology_version`` moves — exactly the
-    transitions (deploy/fail/retire/rewire) that can change the
-    population or its ability to hear.  Between bumps the index is
-    exact, not approximate, by the same argument as the device
-    candidate cache.
+    gateways, a Helium network's hotspot roster).  Whenever
+    ``sim.topology_version`` moves — exactly the transitions
+    (deploy/fail/retire/degrade/rewire) that can change the population
+    or its ability to hear — the index recomputes its *hearing list*:
+    provider order, filtered by :meth:`~repro.net.gateway.Gateway.hears`.
+    An unchanged list keeps the grid and :attr:`generation` as they are;
+    a changed one rebuilds the grid over the hearing gateways, bumps
+    :attr:`generation`, and logs the gateways that entered or left the
+    list.
 
     ``nearest_hearing`` answers the device hot path: the ``count``
-    nearest gateways currently able to receive
-    (:meth:`~repro.net.gateway.Gateway.hears`), ordered by (distance²,
-    provider order).  Because ``hears()`` can only flip on a
-    version-bumping transition, evaluating it at rebuild/query time
-    consumes no randomness and never reorders a trace.
+    nearest hearing gateways, ordered by (distance², provider order).
+    Evaluating ``hears()`` at refresh time consumes no randomness and
+    never reorders a trace.
+
+    ``still_nearest`` is the one reuse rule both device engines apply to
+    a cached ``nearest_hearing`` answer when the topology moves: instead
+    of re-querying, a device asks whether any logged change since its
+    cache's generation could alter its top ``count``.  See DESIGN.md,
+    "Candidate caches", for why the rule is exact.
     """
 
     def __init__(
@@ -141,43 +148,101 @@ class GatewayIndex:
         self.sim = sim
         self.provider = provider
         self.cell_size_m = cell_size_m
-        self._grid: Optional[SpatialGrid] = None
-        self._population: List[Gateway] = []
-        self._version: int = -1
+        #: Bumped each time the hearing list changes; a cached
+        #: ``nearest_hearing`` answer is stamped with it.
+        self.generation = 0
+        self._version = -1
+        self._hearing: List[Gateway] = []
+        #: ``id(gateway) -> position in the hearing list``.
+        self._rank: Dict[int, int] = {}
+        self._grid = SpatialGrid(cell_size_m)
+        #: Gateways that entered or left the hearing list, in order;
+        #: ``_marks[g]`` is the log's length when generation ``g`` began.
+        self._flipped: List[Gateway] = []
+        self._marks: List[int] = [0]
+        #: Caches stamped before this generation are never reused: the
+        #: hearing list was reordered then, which can move a tie.
+        self._exact_from = 0
 
-    def grid(self) -> SpatialGrid:
-        """The current index, rebuilt if the topology version moved."""
+    def refresh(self) -> int:
+        """Catch up with the topology version; return the generation."""
         version = self.sim.topology_version
-        if self._grid is None or self._version != version:
-            population = list(self.provider())
-            grid = SpatialGrid(self.cell_size_m)
-            for gateway in population:
-                position = gateway.position
-                grid.insert(position.x, position.y, gateway)
-            self._grid = grid
-            self._population = population
-            self._version = version
-        return self._grid
-
-    def population(self) -> List[Gateway]:
-        """The indexed gateway list, in provider order (read-only).
-
-        Cohorts scan it on topology bumps to detect gateways that
-        *gained* the ability to hear — the one transition their
-        shrink-only candidate reuse cannot survive.
-        """
-        self.grid()
-        return self._population
+        if self._version == version:
+            return self.generation
+        self._version = version
+        hearing = [g for g in self.provider() if g.hears()]
+        if hearing == self._hearing:
+            return self.generation
+        old_rank = self._rank
+        rank = {id(g): i for i, g in enumerate(hearing)}
+        flipped = self._flipped
+        flipped.extend(g for g in self._hearing if id(g) not in rank)
+        reordered = False
+        last = -1
+        grid = SpatialGrid(self.cell_size_m)
+        for gateway in hearing:
+            before = old_rank.get(id(gateway))
+            if before is None:
+                flipped.append(gateway)
+            elif before < last:
+                reordered = True
+            else:
+                last = before
+            position = gateway.position
+            grid.insert(position.x, position.y, gateway)
+        self.generation += 1
+        self._marks.append(len(flipped))
+        if reordered:
+            self._exact_from = self.generation
+        self._hearing = hearing
+        self._rank = rank
+        self._grid = grid
+        return self.generation
 
     def nearest_hearing(self, position: Position, count: int) -> List[Gateway]:
         """The ``count`` nearest gateways that can currently receive."""
-        return self.grid().nearest(
-            position.x, position.y, count, where=_gateway_hears
-        )
+        self.refresh()
+        return self._grid.nearest(position.x, position.y, count)
 
+    def still_nearest(
+        self,
+        cached: Sequence[Gateway],
+        generation: int,
+        position: Position,
+        count: int,
+    ) -> bool:
+        """Whether ``cached`` is still exactly ``nearest_hearing(position, count)``.
 
-def _gateway_hears(gateway: Gateway) -> bool:
-    return gateway.hears()
+        ``cached`` must be that query's answer at ``generation``.  True
+        when nothing changed since, or when every logged change is
+        provably out of reach: no logged gateway is in ``cached``, the
+        cache is full, and every logged gateway that hears now lies
+        strictly farther than the cached ``count``-th entry.  Ties, a
+        short cache, or a reordered hearing list answer False, so a True
+        is never wrong; a False only costs a fresh query.
+        """
+        current = self.refresh()
+        if generation == current:
+            return True
+        if generation < self._exact_from or len(cached) < count:
+            return False
+        x = position.x
+        y = position.y
+        edge = cached[-1].position
+        dx = edge.x - x
+        dy = edge.y - y
+        reach_sq = dx * dx + dy * dy
+        rank = self._rank
+        for gateway in self._flipped[self._marks[generation]:]:
+            if gateway in cached:
+                return False
+            if id(gateway) in rank:
+                other = gateway.position
+                dx = other.x - x
+                dy = other.y - y
+                if dx * dx + dy * dy <= reach_sq:
+                    return False
+        return True
 
 
 @dataclass

@@ -15,6 +15,8 @@ from repro.faults import (
     InvariantViolation,
     InvariantViolationError,
 )
+from repro.net import DeviceCohort, GatewayIndex, OwnedGateway, Position
+from repro.radio import ieee802154
 from tests.test_failure_injection import build
 
 
@@ -114,6 +116,57 @@ class TestCorruptionDetection:
             v.check == "cache-coherence" and v.entity == device.name
             for v in found
         )
+
+    def test_poisoned_stale_but_reusable_cache(self):
+        sim, net, auditor = _audited_testbed()
+        device = net.devices[0]
+        fresh = device.candidate_gateways()
+        poisoned = list(fresh) + [net.gateways[0]]
+        device._candidate_cache = poisoned
+        # Another device's failure moves the version but nothing this
+        # device's candidates depend on: the reuse rule keeps the cache.
+        net.devices[1].fail()
+        assert device._candidate_version != sim.topology_version
+        assert device.reusable_cache() is poisoned
+        found = auditor.check_now()
+        assert any(
+            v.check == "cache-coherence" and v.entity == device.name
+            for v in found
+        )
+        assert device._candidate_cache is poisoned  # the audit wrote nothing
+
+    def test_poisoned_cohort_member_cache(self):
+        sim = Simulation(seed=1)
+        gateways = [
+            OwnedGateway(
+                sim,
+                spec=ieee802154.default_spec(),
+                path_loss=ieee802154.urban_path_loss(),
+                position=Position(10.0 * i, 0.0),
+            )
+            for i in range(3)
+        ]
+        for gateway in gateways:
+            gateway.deploy()
+        cohort = DeviceCohort(
+            sim,
+            technology="802.15.4",
+            spec=ieee802154.default_spec(),
+            airtime_s=ieee802154.airtime_s(24),
+            report_interval=units.HOUR,
+            positions=[Position(0.0, 5.0), Position(20.0, 5.0)],
+        )
+        index = GatewayIndex(sim, lambda: gateways, cell_size_m=50.0)
+        cohort.gateway_index = index
+        auditor = InvariantAuditor(sim, every=50, strict=False)
+        generation = index.refresh()
+        cached = cohort._candidates_for(1, index, generation)
+        assert auditor.check_now() == []
+        cohort._cand[1] = (generation, cached[::-1])
+        found = auditor.check_now()
+        assert [(v.check, v.entity) for v in found] == [
+            ("cache-coherence", cohort.member_names[1])
+        ]
 
 
 class TestStrictMode:

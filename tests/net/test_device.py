@@ -9,6 +9,7 @@ from repro.net import (
     CampusBackhaul,
     CloudEndpoint,
     EdgeDevice,
+    GatewayIndex,
     OwnedGateway,
     Position,
 )
@@ -146,7 +147,7 @@ class TestAttachmentPolicy:
         assert device.delivered == 0
         assert device.no_gateway == device.attempts
 
-    def test_directory_extends_candidates(self, sim):
+    def test_index_extends_candidates(self, sim):
         cloud, gateways, device = build(sim, n_gateways=1)
         extra = OwnedGateway(
             sim,
@@ -156,12 +157,12 @@ class TestAttachmentPolicy:
         )
         extra.add_dependency(gateways[0].depends_on[0])
         extra.deploy()
-        device.gateway_directory = lambda: [extra]
+        device.gateway_index = GatewayIndex(sim, lambda: [extra], cell_size_m=50.0)
         gateways[0].fail()
         sim.run_until(units.days(1.0))
         assert device.delivered > 0
 
-    def test_directory_ignored_when_instance_bound(self, sim):
+    def test_index_ignored_when_instance_bound(self, sim):
         cloud, gateways, device = build(
             sim, attachment=AttachmentPolicy.INSTANCE_BOUND
         )
@@ -172,7 +173,7 @@ class TestAttachmentPolicy:
             position=Position(6.0, 0.0),
         )
         extra.deploy()
-        device.gateway_directory = lambda: [extra]
+        device.gateway_index = GatewayIndex(sim, lambda: [extra], cell_size_m=50.0)
         gateways[0].fail()
         sim.run_until(units.days(1.0))
         assert device.delivered == 0
