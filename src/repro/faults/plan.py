@@ -267,7 +267,9 @@ class FaultPlan:
                 )
             try:
                 specs.append(spec_cls.from_dict(raw))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                # AttributeError: a nested object given as another JSON
+                # type (a list where a selector object belongs).
                 raise FaultPlanError(f"fault #{index} ({kind}): {exc}") from exc
         try:
             return cls(

@@ -13,10 +13,21 @@ dependency the container would have to bake in:
 
 Connections are keep-alive (the load harness sustains thousands of
 cache-hit requests per second over a handful of sockets); request
-heads and bodies are size-bounded; parse errors answer 400 and close.
-``SIGTERM``/``SIGINT`` trigger a graceful drain: stop accepting, finish
-every in-flight run, then exit — the behavior that turns a deploy into
-a non-event instead of a weekly-uptime incident.
+heads and bodies are size-bounded.  A malformed HTTP frame answers
+400/413 and closes; a well-framed body that is not a valid request
+(bad bytes, bad JSON, bad fields) answers 400 and the connection keeps
+serving.  ``SIGTERM``/``SIGINT`` trigger a graceful drain: stop
+accepting, finish every in-flight run, then exit — the behavior that
+turns a deploy into a non-event instead of a weekly-uptime incident.
+
+This module owns the codec from wire bytes to
+:class:`~repro.serve.request.ServeRequest`.  Parsing is a pure function
+of ``(endpoint, body bytes)``, so a :class:`RequestMemo` maps byte-
+identical bodies (a polling dashboard re-sending its questions) straight
+to the request already validated, whose digest it computed on first
+use: a repeat hit does no JSON decoding, validation or hashing.  The
+memo is bounded by the body bytes it holds (:data:`MEMO_MAX_BYTES`) and
+keeps successful parses only.
 
 Cache provenance travels in headers (``X-Cache: hit|miss|coalesced``,
 ``X-Request-Digest: sha256:…``) so the body stays exactly the canonical
@@ -28,14 +39,19 @@ from __future__ import annotations
 
 import asyncio
 import signal
+from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
-from .request import RequestError, parse_request_json
+from .request import RequestError, ServeRequest, parse_request_json
 from .service import ScenarioService, ServeResponse, _error_body
 
 #: Bounds on what one request may send; beyond them: 400/413 and close.
 MAX_HEADER_BYTES = 16 * 1024
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+#: Total request-body bytes the :class:`RequestMemo` may hold.  Bodies
+#: are counted, not entries: one body may be up to MAX_BODY_BYTES.
+MEMO_MAX_BYTES = 256 * 1024
 
 _REASONS = {
     200: "OK",
@@ -126,6 +142,45 @@ def _render(
     return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
 
 
+class RequestMemo:
+    """An LRU from ``(endpoint, body bytes)`` to the parsed request.
+
+    Exact because :func:`~repro.serve.request.parse_request_json` is a
+    pure function of its inputs (fixed limits, an immutable scenario
+    registry) and returns a frozen :class:`ServeRequest` that any number
+    of hits may share.  Only successful parses are stored, so a rejected
+    body is parsed, and answered 400, every time.  A body respelled
+    (key order, ``2`` vs ``2.0``) is a separate entry, but parses to an
+    equal request with the same digest, so it shares the response cache.
+    """
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[Tuple[str, bytes], ServeRequest]" = (
+            OrderedDict()
+        )
+        #: Sum of the body lengths held; never above MEMO_MAX_BYTES.
+        self.bytes = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def parse(self, body: bytes, endpoint: str) -> ServeRequest:
+        """The request ``body`` spells; raises :class:`RequestError`."""
+        key = (endpoint, body)
+        request = self._entries.get(key)
+        if request is not None:
+            self._entries.move_to_end(key)
+            return request
+        request = parse_request_json(body, endpoint)
+        if len(body) <= MEMO_MAX_BYTES:
+            self._entries[key] = request
+            self.bytes += len(body)
+            while self.bytes > MEMO_MAX_BYTES:
+                (_endpoint, old), _request = self._entries.popitem(last=False)
+                self.bytes -= len(old)
+        return request
+
+
 class HttpServer:
     """The asyncio front end binding a :class:`ScenarioService`."""
 
@@ -138,6 +193,7 @@ class HttpServer:
         self.service = service
         self.host = host
         self.port = port
+        self.memo = RequestMemo()
         self._server: Optional[asyncio.AbstractServer] = None
         # Created lazily inside the running loop: on 3.9 an Event built
         # outside asyncio.run() binds to the wrong loop.
@@ -256,7 +312,7 @@ class HttpServer:
                 return _render(405, _error_body(405, "use POST"))
             endpoint = target.rsplit("/", 1)[1]
             try:
-                request = parse_request_json(body, endpoint)
+                request = self.memo.parse(body, endpoint)
             except RequestError as exc:
                 return _render(400, _error_body(400, str(exc)))
             response = await self.service.handle(request)
@@ -299,5 +355,7 @@ __all__ = [
     "HttpServer",
     "MAX_BODY_BYTES",
     "MAX_HEADER_BYTES",
+    "MEMO_MAX_BYTES",
+    "RequestMemo",
     "serve_forever",
 ]

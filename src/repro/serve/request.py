@@ -25,9 +25,11 @@ computation.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Mapping, Optional, Tuple
 
 from ..core import units
 from ..faults import FaultPlan, FaultPlanError
@@ -115,10 +117,17 @@ def _normalize_override(field: dataclasses.Field, value: object) -> object:
     )
 
 
-def _config_fields() -> Dict[str, dataclasses.Field]:
+@functools.lru_cache(maxsize=None)
+def _config_fields() -> Mapping[str, dataclasses.Field]:
+    """``FiftyYearConfig``'s fields by name, built once per process.
+
+    Read-only: every parse shares the one mapping.
+    """
     from ..experiment.fifty_year import FiftyYearConfig
 
-    return {f.name: f for f in dataclasses.fields(FiftyYearConfig)}
+    return MappingProxyType(
+        {f.name: f for f in dataclasses.fields(FiftyYearConfig)}
+    )
 
 
 #: Config fields a request may never override: identity and cadence are
@@ -167,8 +176,26 @@ class ServeRequest:
         overrides, the fault plan's ``to_dict`` — are projected to
         canonical JSON and hashed.  Equal content ⇒ equal digest, no
         matter how the wire JSON spelled it.
+
+        Computed once per instance: the request is frozen, so the
+        fingerprint cannot change.  It is kept in the instance
+        ``__dict__`` under ``_digest``, outside the dataclass fields, so
+        ``==``, ``hash`` and ``repr`` ignore it, and
+        :meth:`__getstate__` leaves it out of the pickle.
         """
-        return task_fingerprint(self)
+        digest = self.__dict__.get("_digest")
+        if digest is None:
+            digest = task_fingerprint(self)
+            # Frozen: bypass __setattr__ for this derived, cached value.
+            object.__setattr__(self, "_digest", digest)
+        return digest
+
+    def __getstate__(self) -> dict:
+        # Pickle the fields alone, exactly as before the digest cache:
+        # a pool worker's copy recomputes the digest if it needs one.
+        state = dict(self.__dict__)
+        state.pop("_digest", None)
+        return state
 
     def cache_key(self) -> str:
         """The bare hex digest used as the cache/file key."""
@@ -327,11 +354,26 @@ def parse_request(
 
 
 def parse_request_json(body: bytes, endpoint: str, **limits) -> ServeRequest:
-    """Decode raw body bytes and validate (→ HTTP 400 on any failure)."""
+    """Decode raw body bytes and validate (→ HTTP 400 on any failure).
+
+    A pure function of ``(body, endpoint, limits)``: the HTTP front end
+    memoizes its result by the body bytes (see
+    :class:`repro.serve.http.RequestMemo`).
+    """
     try:
         payload = json.loads(body or b"{}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, and the other ValueErrors json.loads raises
+        # on bad bytes: UnicodeDecodeError (bytes in no encoding it
+        # detects) and an integer literal over the interpreter's
+        # digit limit.
         raise RequestError(f"invalid JSON body: {exc}") from None
+    except RecursionError:
+        # Nesting deeper than the decoder's recursion limit; the body
+        # is well under MAX_BODY_BYTES, so only its shape is at fault.
+        raise RequestError(
+            "invalid JSON body: nested too deeply to decode"
+        ) from None
     return parse_request(payload, endpoint, **limits)
 
 

@@ -7,7 +7,10 @@ codec around :meth:`ScenarioService.handle`.  Responsibilities:
 * **Exact memoization** — responses are cached under the request's
   content digest (:meth:`~repro.serve.request.ServeRequest.digest`).
   Determinism makes the cache perfect: a hit never touches the worker
-  pool and is byte-identical to what a cold run would produce.
+  pool and is byte-identical to what a cold run would produce.  The
+  digest is computed once per request object, and the HTTP front end
+  hands a repeated body's request object back, so such a hit costs a
+  dict probe plus a move-to-end and the per-request bookkeeping.
 * **Single-flight** — N concurrent identical requests trigger exactly
   one execution; late arrivals await the first one's future.  The
   thundering-herd behavior a public endpoint needs on the morning a
@@ -41,9 +44,9 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
-from ..obs import MetricsRegistry, snapshot_json, to_prometheus
+from ..obs import Counter, MetricsRegistry, snapshot_json, to_prometheus
 from ..runtime.queue import resolve_workers
 from ..runtime.runner import (
     MonteCarloRunner,
@@ -173,6 +176,9 @@ class ScenarioService:
         self._latency = registry.histogram(
             "serve_request_latency_seconds", edges=LATENCY_EDGES
         )
+        #: serve_requests_total by (endpoint, status), created on first
+        #: use so /metrics lists only the pairs that occurred.
+        self._requests: Dict[Tuple[str, int], Counter] = {}
 
     # -- lifecycle ------------------------------------------------------
     def _ensure_executor(self) -> Executor:
@@ -276,11 +282,15 @@ class ScenarioService:
         started = time.perf_counter()
         response = await self._handle(request)
         self._latency.observe(time.perf_counter() - started)
-        self.registry.counter(
-            "serve_requests_total",
-            endpoint=request.endpoint,
-            status=str(response.status),
-        ).inc()
+        key = (request.endpoint, response.status)
+        counter = self._requests.get(key)
+        if counter is None:
+            counter = self._requests[key] = self.registry.counter(
+                "serve_requests_total",
+                endpoint=request.endpoint,
+                status=str(response.status),
+            )
+        counter.inc()
         return response
 
     async def _handle(self, request: ServeRequest) -> ServeResponse:

@@ -231,6 +231,34 @@ def test_http_surface(tmp_path):
     assert status == 503 and body == b"draining\n"
 
 
+def test_bad_bytes_answer_400_and_keep_the_connection():
+    """An undecodable or over-nested body is a 400, and the requests
+    pipelined behind it on the same connection are still answered."""
+
+    async def scenario(server):
+        reader, writer = await open_keepalive(server.port)
+        statuses = []
+        for bad in (b"\xc3", b"[" * 100_000):
+            writer.write(
+                b"POST /v1/run HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                b"GET /healthz HTTP/1.1\r\n\r\n" % (len(bad), bad)
+            )
+            await writer.drain()
+            for _ in range(2):
+                head = (await reader.readuntil(b"\r\n\r\n")).decode("latin-1")
+                length = int(head.split("Content-Length: ")[1].split("\r\n")[0])
+                body = await reader.readexactly(length)
+                statuses.append((int(head.split(" ")[1]), body))
+        writer.close()
+        return statuses
+
+    statuses = run_async(_serve(scenario))
+    assert [status for status, _body in statuses] == [400, 200, 400, 200]
+    assert b"invalid JSON" in statuses[0][1]
+    assert b"nested too deeply" in statuses[2][1]
+    assert statuses[1][1] == statuses[3][1] == b"ok\n"
+
+
 def test_golden_fixture_matches_direct_compute():
     """The fixture is reproducible without any server at all."""
     with open(

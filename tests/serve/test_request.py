@@ -128,6 +128,23 @@ def test_run_rejects_mc_fields():
 def test_parse_request_json_rejects_bad_bytes():
     with pytest.raises(RequestError, match="invalid JSON"):
         parse_request_json(b"{nope", "run")
+    # Not UTF-8: a UnicodeDecodeError inside json.loads.
+    with pytest.raises(RequestError, match="invalid JSON"):
+        parse_request_json(b"\xc3", "run")
+    # Far under MAX_BODY_BYTES, far over the decoder's recursion limit.
+    with pytest.raises(RequestError, match="nested too deeply"):
+        parse_request_json(b"[" * 100_000, "run")
+    # Past the interpreter's integer-digit limit, where it has one.
+    with pytest.raises(RequestError):
+        parse_request_json(b'{"seed":1' + b"0" * 5000 + b"}", "run")
+    # A fault selector spelled as an array instead of an object.
+    kill = {"kind": "kill", "at_s": 1.0, "select": ["campus-net"]}
+    with pytest.raises(RequestError, match="bad fault plan"):
+        parse_request(
+            {"scenario": "owned-only",
+             "faults": {"version": 1, "faults": [kill]}},
+            "run",
+        )
     # An empty body is the all-defaults request for neither endpoint:
     # scenario is required.
     with pytest.raises(RequestError, match="unknown scenario"):
